@@ -152,12 +152,13 @@ class AnalogAttention(MultiHeadAttention):
 
     Extends :class:`MultiHeadAttention` with an *analog* incremental-decode
     path: when the per-layer cache slot exposes crossbar dynamic operands
-    (a :class:`~repro.pim.kv_cache.CrossbarKVCache` slot), ``Q·Kᵀ`` runs as
-    a GEMV against the bitline-grown key operand and ``S·V`` against the
-    wordline-grown value operand — per row, per head, with INT8 activation
-    quantization and host-side dequantization by the cached per-token
-    scales.  Softmax (and masking) stays on the host, mirroring the
-    paper's SFU placement.  Every other call shape — no cache, a plain
+    (a :class:`~repro.pim.kv_cache.CrossbarKVCache` slot), ``Q·Kᵀ`` runs
+    against the bitline-grown key operands and ``S·V`` against the
+    wordline-grown value operands, with INT8 activation quantization and
+    host-side dequantization by the cached per-token scales.  Each product
+    is one batched crossbar read per layer covering every live row and
+    head.  Softmax (and masking) stays on the host, mirroring the paper's
+    SFU placement.  Every other call shape — no cache, a plain
     :class:`~repro.nn.kv_cache.KVCache`, calibration forwards, non-causal
     use — falls back to the inherited host path, so the module is a
     drop-in replacement installed by
@@ -232,10 +233,18 @@ class AnalogAttention(MultiHeadAttention):
         cache.append(k.data, v.data)  # host mirror + operand columns/rows
 
         ex = handles.executor
+        heads = self.num_heads
         inv_sqrt_d = 1.0 / math.sqrt(self.d_head)
-        context = np.zeros((batch, self.num_heads, seq, self.d_head))
+        q_codes, q_scales = ex.quantize_blocks(q.data)
+        # One crossbar read per product covers every (row, head) pair.
+        scores_int = ex.read(
+            handles.key_operands(), q_codes.reshape(batch * heads, seq, self.d_head)
+        )
+        key_scales, value_scales = handles.key_scales, handles.value_scales
+        totals = lengths + seq
+        weighted = np.zeros((batch, heads, seq, int(totals.max())))
         for r in range(batch):
-            total = int(lengths[r]) + seq
+            total = int(totals[r])
             # Query t of this pass may attend keys j <= lengths[r] + t: the
             # causal and ragged-validity constraints collapse into one
             # per-row comparison against the committed length.
@@ -243,27 +252,31 @@ class AnalogAttention(MultiHeadAttention):
                 np.arange(total)[None, :]
                 > (int(lengths[r]) + np.arange(seq))[:, None]
             )
-            for h in range(self.num_heads):
-                q_codes, q_scale = ex.quantize_block(q.data[r, h])
-                scores_int = handles.k_op(r, h).gemv(
-                    q_codes, input_bits=ex.activation_bits
-                )
-                k_scales = handles.k_scales(r, h)[:total]
-                scores = (
-                    np.asarray(scores_int, dtype=np.float64)
-                    * (q_scale * inv_sqrt_d)
-                    * k_scales[None, :]
-                )
-                scores[blocked] = -1e9
-                shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
-                probs = shifted / shifted.sum(axis=-1, keepdims=True)
-                # Fold the per-token value scales into the streamed operand
-                # so one block scale dequantizes the AV product exactly.
-                weighted = probs * handles.v_scales(r, h)[:total][None, :]
-                p_codes, p_scale = ex.quantize_block(weighted)
-                ctx_int = handles.v_op(r, h).gemv(
-                    p_codes, input_bits=ex.activation_bits
-                )
-                context[r, h] = np.asarray(ctx_int, dtype=np.float64) * p_scale
+            scores = (
+                np.asarray(scores_int[r * heads : (r + 1) * heads], dtype=np.float64)
+                * (q_scales[r] * inv_sqrt_d)[:, None, None]
+                * key_scales[r, :, None, :total]
+            )
+            scores[:, blocked] = -1e9
+            # Softmax per row, heads stacked: rows are never padded, so each
+            # reduction sums exactly the elements a per-head pass would.
+            shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            probs = shifted / shifted.sum(axis=-1, keepdims=True)
+            # Fold the per-token value scales into the streamed operand
+            # so one block scale dequantizes the AV product exactly.
+            weighted[r, :, :, :total] = probs * value_scales[r, :, None, :total]
+        # Zero padding changes neither a block's max nor any code.
+        p_codes, p_scales = ex.quantize_blocks(weighted)
+        ctx_int = ex.read(
+            handles.value_operands(),
+            [
+                p_codes[r, h, :, : totals[r]]
+                for r in range(batch)
+                for h in range(heads)
+            ],
+        )
+        context = np.asarray(ctx_int, dtype=np.float64).reshape(
+            batch, heads, seq, self.d_head
+        ) * p_scales[:, :, None, None]
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
         return self.w_proj(Tensor(merged.astype(x.data.dtype)))

@@ -6,8 +6,9 @@ programming noise, kernel policy and a shared
 :class:`~repro.rram.crossbar.GemvStats` sink; it mints the
 :class:`~repro.rram.dynamic.DynamicOperand` tiles that
 :class:`~repro.pim.kv_cache.CrossbarKVCache` grows per decoded token;
-and it performs the INT8 activation quantization for queries, keys,
-values and attention probabilities.
+it performs the INT8 activation quantization for queries, keys, values
+and attention probabilities; and it issues the batched crossbar reads
+(:func:`~repro.rram.dynamic.batched_gemv`, one per product per layer).
 
 The executor is what :meth:`repro.serve.engine.ServingEngine.deploy`
 installs when called with ``attention="analog"``: every transformer
@@ -34,7 +35,7 @@ from repro.nn.tensor import Tensor
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import MLC2, CellType
 from repro.rram.crossbar import CrossbarConfig, GemvStats
-from repro.rram.dynamic import DynamicOperand
+from repro.rram.dynamic import DynamicOperand, batched_gemv
 from repro.rram.kernels import KernelPolicy
 
 __all__ = ["CrossbarAttentionExecutor", "ReferenceQuantizedAttention"]
@@ -152,11 +153,11 @@ class CrossbarAttentionExecutor:
         return 2 ** (self.activation_bits - 1) - 1
 
     def quantize_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row symmetric quantization of ``(t, d)`` → codes + scales."""
+        """Per-row symmetric quantization of ``(..., d)`` → codes + scales."""
         x = np.asarray(x, dtype=np.float64)
         absmax = np.maximum(np.abs(x).max(axis=-1), 1e-12)
         scales = absmax / self._qmax
-        codes = np.clip(np.rint(x / scales[:, None]), -self._qmax, self._qmax)
+        codes = np.clip(np.rint(x / scales[..., None]), -self._qmax, self._qmax)
         return codes.astype(np.int64), scales
 
     def quantize_block(self, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -166,6 +167,25 @@ class CrossbarAttentionExecutor:
         scale = absmax / self._qmax
         codes = np.clip(np.rint(x / scale), -self._qmax, self._qmax)
         return codes.astype(np.int64), scale
+
+    def quantize_blocks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`quantize_block` of every trailing 2-D block of ``(..., m, n)``.
+
+        Elementwise arithmetic and an exact per-block max, so each block's
+        codes and scale equal a :meth:`quantize_block` call on it alone.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        absmax = np.maximum(np.abs(x).max(axis=(-2, -1), initial=0.0), 1e-12)
+        scales = absmax / self._qmax
+        codes = np.clip(np.rint(x / scales[..., None, None]), -self._qmax, self._qmax)
+        return codes.astype(np.int64), scales
+
+    # ------------------------------------------------------------------
+    # Crossbar reads
+    # ------------------------------------------------------------------
+    def read(self, operands, input_codes) -> list[np.ndarray]:
+        """One batched crossbar read of ``operands`` (see :func:`batched_gemv`)."""
+        return batched_gemv(operands, input_codes, input_bits=self.activation_bits)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -78,7 +78,7 @@ class _OperandStore:
 class _CrossbarLayerSlot(_LayerSlot):
     """Per-layer cache handle that additionally exposes the analog operands.
 
-    The extra surface (``analog``/``executor``/``lengths``/``k_op``...)
+    The extra surface (``analog``/``executor``/``lengths``/``key_operands``...)
     is what :class:`~repro.nn.attention.AnalogAttention` duck-checks to
     select the crossbar execution path; plain hosts see only the
     inherited :class:`~repro.nn.kv_cache._LayerSlot` contract.
@@ -101,21 +101,29 @@ class _CrossbarLayerSlot(_LayerSlot):
         """Committed per-row valid lengths (this view's rows)."""
         return self.cache.lengths
 
-    def k_op(self, row: int, head: int):
-        """Key operand (bitline-grown) for a local row/head."""
-        return self.cache._store.k_ops[self.index][self.cache._row0 + row][head]
+    def key_operands(self) -> list:
+        """Every key operand of this view's rows, row-major over (row, head)."""
+        cache = self.cache
+        rows = cache._store.k_ops[self.index][cache._row0 : cache._row0 + cache.batch]
+        return [op for row in rows for op in row]
 
-    def v_op(self, row: int, head: int):
-        """Value operand (wordline-grown) for a local row/head."""
-        return self.cache._store.v_ops[self.index][self.cache._row0 + row][head]
+    def value_operands(self) -> list:
+        """Every value operand of this view's rows, row-major over (row, head)."""
+        cache = self.cache
+        rows = cache._store.v_ops[self.index][cache._row0 : cache._row0 + cache.batch]
+        return [op for row in rows for op in row]
 
-    def k_scales(self, row: int, head: int) -> np.ndarray:
-        """Per-token key dequantization scales for a local row/head."""
-        return self.cache._store.k_scales[self.index][self.cache._row0 + row, head]
+    @property
+    def key_scales(self) -> np.ndarray:
+        """Per-token key scales of this view's rows, ``(rows, heads, capacity)``."""
+        cache = self.cache
+        return cache._store.k_scales[self.index][cache._row0 : cache._row0 + cache.batch]
 
-    def v_scales(self, row: int, head: int) -> np.ndarray:
-        """Per-token value dequantization scales for a local row/head."""
-        return self.cache._store.v_scales[self.index][self.cache._row0 + row, head]
+    @property
+    def value_scales(self) -> np.ndarray:
+        """Per-token value scales of this view's rows, ``(rows, heads, capacity)``."""
+        cache = self.cache
+        return cache._store.v_scales[self.index][cache._row0 : cache._row0 + cache.batch]
 
 
 class CrossbarKVCache(KVCache):
@@ -187,16 +195,16 @@ class CrossbarKVCache(KVCache):
         store = self._store
         ex = store.executor
         t = k_new.shape[2]
+        k_codes, k_s = ex.quantize_rows(k_new)
+        v_codes, v_s = ex.quantize_rows(v_new)
         for r in range(self.batch):
             g = self._row0 + r
             pos = int(start_lengths[r])
             for h in range(self.num_heads):
-                k_codes, k_s = ex.quantize_rows(np.asarray(k_new[r, h], dtype=np.float64))
-                v_codes, v_s = ex.quantize_rows(np.asarray(v_new[r, h], dtype=np.float64))
-                store.k_ops[layer][g][h].append(k_codes)
-                store.v_ops[layer][g][h].append(v_codes)
-                store.k_scales[layer][g, h, pos : pos + t] = k_s
-                store.v_scales[layer][g, h, pos : pos + t] = v_s
+                store.k_ops[layer][g][h].append(k_codes[r, h])
+                store.v_ops[layer][g][h].append(v_codes[r, h])
+            store.k_scales[layer][g, :, pos : pos + t] = k_s[r]
+            store.v_scales[layer][g, :, pos : pos + t] = v_s[r]
         ex.record_kv_write(layer, self.batch, t, self.head_dim, self.num_heads)
         return out
 

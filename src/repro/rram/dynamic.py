@@ -5,9 +5,9 @@ Every :class:`~repro.rram.crossbar.ProgrammedMatrix` in the repo holds a
 generalizes the execution model to a second operand class: a
 :class:`DynamicOperand` is a crossbar-resident tensor that *grows at
 runtime* through incremental row appends (KV-cache rows written as tokens
-decode, streamed MoE expert slices, future NEON LUT banks), while staying
-readable by the exact same GEMV kernels (:mod:`repro.rram.kernels`) that
-serve static weights — no kernel code is forked.
+decode, streamed MoE expert slices, future NEON LUT banks), read by the
+same bit-serial pipeline — SAR-ADC quantization, saturation and op-count
+accounting included — as static weights.
 
 The mechanics:
 
@@ -20,11 +20,25 @@ The mechanics:
   :class:`~repro.rram.endurance.WearLedger`'s dynamic channel) and bumps
   only the tile-local ``write_epoch``, leaving every *other* tile's cached
   planes (the static weights' ``stacked_planes``, the ``PlaneCache``) valid;
-- GEMVs run against a zero-copy *view* of the valid region ``[0, length)``,
-  which exposes the full programmed-matrix duck-type surface (planes,
-  slices, ADC, saturation-freedom, stacked planes), so ``reference``,
-  ``fast`` and fused ``gemm`` kernels all apply, including the exact
-  noiseless shortcut when the valid region is provably saturation-free.
+- reads see only the valid region ``[0, length)``.
+
+Reads are **batched**.  :func:`batched_gemv` reads many same-geometry
+operands at once — analog attention issues one call per product (QKᵀ, then
+AV) per layer, covering every live row and head.  It zero-pads each
+operand's valid cell planes into one stacked plane block, packs the input
+bit-planes of every operand once, and runs one ``np.matmul`` over the whole
+``(operand, row tile, bit-plane x input row, cells)`` block; one fused ADC
+round/clip, the shift-and-add and the offset removal follow, and each
+operand's result is sliced back out.  Padded cells and padded input bits
+contribute exactly 0 and the ADC maps 0 to 0, so padding changes no code.
+Every bitline sum is a sum of exact cell values (integers, or float32
+programming-noise draws) accumulated in float64 without rounding, so the
+result is bitwise-equal to reading each operand on its own with the
+per-operand ``fast`` kernel, and each operand's
+:class:`~repro.rram.crossbar.GemvStats` sink is charged the same hardware
+counts.  :meth:`DynamicOperand.gemv` is the one-operand case.  Under
+``KernelPolicy(mode="reference")`` the batch runs the per-operand
+:func:`~repro.rram.kernels.reference_gemv` specification instead.
 
 ``grow`` selects the physical growth axis.  ``"wordlines"`` appends input
 rows (the AV operand: attention probabilities stream over the wordlines,
@@ -34,15 +48,23 @@ operand: the query streams over the wordlines, keys live in the cells).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.rram.adc import SarAdc, required_adc_bits
 from repro.rram.backend import CrossbarBackend, resolve_backend
 from repro.rram.cell import MLC2, CellType
-from repro.rram.crossbar import CrossbarConfig, GemvStats, WeightSlices, slice_weights
-from repro.rram.kernels import KernelPolicy, resolve_policy, run_gemv
+from repro.rram.crossbar import (
+    CrossbarConfig,
+    GemvStats,
+    WeightSlices,
+    input_bit_weights,
+    slice_weights,
+)
+from repro.rram.kernels import _POPCOUNT_TABLE, KernelPolicy, resolve_policy, run_gemv
 
-__all__ = ["DynamicOperand"]
+__all__ = ["DynamicOperand", "batched_gemv"]
 
 _GROW_AXES = ("wordlines", "bitlines")
 
@@ -50,33 +72,23 @@ _GROW_AXES = ("wordlines", "bitlines")
 class _DynamicView:
     """Zero-copy view of a dynamic operand's valid region ``[0, length)``.
 
-    Implements the duck-type surface the GEMV kernels consume from
-    :class:`~repro.rram.crossbar.ProgrammedMatrix` (planes, slices, config,
-    ADC, noiselessness, saturation-freedom, dense weights, stacked planes),
-    so a dynamic operand is kernel-compatible without forking kernel code.
-    Derived artifacts (saturation flag, dense weights, stacked planes) are
-    cached on the owning operand, keyed by the backend epoch, the tile's
-    ``write_epoch`` and the logical length — any append, reprogram or
-    clock advance invalidates them.
+    Implements the part of the :class:`~repro.rram.crossbar.ProgrammedMatrix`
+    duck-type surface that :func:`~repro.rram.kernels.reference_gemv`
+    consumes (planes, slices, geometry, ADC), so the reference
+    specification reads a dynamic operand without forked kernel code.
     """
 
     def __init__(self, operand: DynamicOperand) -> None:
         self._op = operand
         self.config = operand.config
         self.adc = operand.adc
-        length = operand.length
-        if operand.grow == "wordlines":
-            self.in_features = length
-            self.out_features = operand.width
-        else:
-            self.in_features = operand.width
-            self.out_features = length
+        self.in_features, self.out_features = operand._read_shape()
 
     @property
     def slices(self) -> WeightSlices:
         """Bit-sliced levels of the valid region (same encoding as static)."""
         return WeightSlices(
-            values=self._op._valid_levels(),
+            values=self._op._valid_region(self._op._tile.ideal_levels),
             cell=self._op.cell,
             weight_bits=self._op.weight_bits,
             offset=self._op.offset,
@@ -86,66 +98,6 @@ class _DynamicView:
     def planes(self) -> np.ndarray:
         """Effective cell planes of the valid region, ``(in, out, n_s)``."""
         return self._op._valid_region(self._op.backend.planes(self._op._tile))
-
-    @property
-    def is_noiseless(self) -> bool:
-        """True when reads return the exact integer levels (ideal backend)."""
-        return self._op.backend.is_ideal(self._op._tile)
-
-    @property
-    def saturation_free(self) -> bool:
-        """True when no bitline of the valid region can reach ADC full scale.
-
-        Computed over the *valid* cells only — appended rows change the
-        worst-case column sums, so the flag is re-derived whenever the
-        operand's cache key moves.
-        """
-        cached = self._op._cache_get("saturation_free")
-        if cached is not None:
-            return cached
-        worst = 0
-        rows = self.config.rows
-        values = self._op._valid_levels()
-        for row_start in range(0, self.in_features, rows):
-            tile = values[row_start : row_start + rows]
-            worst = max(worst, int(tile.sum(axis=0).max(initial=0)))
-        free = worst < self.adc.full_scale
-        self._op._cache_set("saturation_free", free)
-        return free
-
-    @property
-    def dense_weights_t(self) -> np.ndarray:
-        """``W.T`` of the valid region as float64 (the exact-shortcut operand)."""
-        cached = self._op._cache_get("dense_weights_t")
-        if cached is not None:
-            return cached
-        values = self._op._valid_levels()
-        factors = WeightSlices(
-            values=values,
-            cell=self._op.cell,
-            weight_bits=self._op.weight_bits,
-            offset=self._op.offset,
-        ).slice_factors
-        dense = values.astype(np.float64) @ factors.astype(np.float64) - self._op.offset
-        self._op._cache_set("dense_weights_t", dense)
-        return dense
-
-    def stacked_planes(self) -> np.ndarray:
-        """Valid-region row tiles stacked for fused GEMM (see static twin)."""
-        cached = self._op._cache_get("stacked_planes")
-        if cached is not None:
-            return cached
-        rows = self.config.rows
-        num_tiles = -(-self.in_features // rows)
-        out_cols = self.out_features * self.slices.num_slices
-        flat = np.asarray(self.planes, dtype=np.float64).reshape(
-            self.in_features, out_cols
-        )
-        stacked = np.zeros((num_tiles * rows, out_cols), dtype=np.float64)
-        stacked[: self.in_features] = flat
-        stacked = np.ascontiguousarray(stacked.reshape(num_tiles, rows, out_cols))
-        self._op._cache_set("stacked_planes", stacked)
-        return stacked
 
 
 class DynamicOperand:
@@ -158,7 +110,7 @@ class DynamicOperand:
     through the backend's partial-region primitive, :meth:`truncate`
     logically shrinks the operand without touching cells (compaction /
     row recycling), and :meth:`gemv` executes ``x @ W.T`` over the valid
-    region with the standard kernel stack — noise, SAR-ADC quantization,
+    region through :func:`batched_gemv` — noise, SAR-ADC quantization,
     saturation and op-count accounting included.
 
     Parameters
@@ -232,24 +184,6 @@ class DynamicOperand:
         self.adc = SarAdc(bits=required_adc_bits(self.config.rows, cell.bits))
         self.length = 0  # logical valid rows
         self.written = 0  # high watermark of physically written rows
-        self._cache_key: tuple | None = None
-        self._cache: dict = {}
-
-    # -- derived-artifact cache (epoch / write_epoch / length keyed) --------
-    def _current_key(self) -> tuple:
-        return (self.backend.epoch, self._tile.write_epoch, self.length)
-
-    def _cache_get(self, name: str):
-        if self._cache_key != self._current_key():
-            return None
-        return self._cache.get(name)
-
-    def _cache_set(self, name: str, value) -> None:
-        key = self._current_key()
-        if self._cache_key != key:
-            self._cache = {}
-            self._cache_key = key
-        self._cache[name] = value
 
     # -- region selection ---------------------------------------------------
     def _valid_region(self, array: np.ndarray) -> np.ndarray:
@@ -257,8 +191,11 @@ class DynamicOperand:
             return array[: self.length]
         return array[:, : self.length, :]
 
-    def _valid_levels(self) -> np.ndarray:
-        return self._valid_region(self._tile.ideal_levels)
+    def _read_shape(self) -> tuple[int, int]:
+        """``(in_features, out_features)`` of a read of the valid region."""
+        if self.grow == "wordlines":
+            return self.length, self.width
+        return self.width, self.length
 
     # -- writes -------------------------------------------------------------
     def append(self, codes: np.ndarray, stats: GemvStats | None = None) -> int:
@@ -332,30 +269,13 @@ class DynamicOperand:
 
         ``x`` has ``length`` columns for a wordline-grown operand and
         ``width`` columns for a bitline-grown one; the result's trailing
-        dimension is the other of the two.  Runs the standard kernel stack
-        (``reference`` / ``fast`` / fused ``gemm`` by policy) against the
-        region view, so noise, ADC clipping and op counts behave exactly
-        as for static weights.
+        dimension is the other of the two.  The one-operand case of
+        :func:`batched_gemv`, so noise, ADC clipping and op counts behave
+        exactly as for static weights.
         """
-        if self.length == 0:
-            raise ValueError("cannot GEMV an empty dynamic operand")
-        view = _DynamicView(self)
-        input_codes = np.atleast_2d(np.asarray(input_codes, dtype=np.int64))
-        if input_codes.shape[1] != view.in_features:
-            raise ValueError(
-                f"shape mismatch: inputs {input_codes.shape}, "
-                f"operand ({view.out_features}, {view.in_features})"
-            )
-        offset_inputs = input_codes + 2 ** (input_bits - 1)
-        if offset_inputs.min() < 0 or offset_inputs.max() >= 2**input_bits:
-            raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
-        return run_gemv(
-            view,
-            input_codes,
-            input_bits,
-            stats=stats if stats is not None else self.stats,
-            policy=policy if policy is not None else self.policy,
-        )
+        return batched_gemv(
+            [self], [input_codes], input_bits, stats=stats, policy=policy
+        )[0]
 
     # -- health -------------------------------------------------------------
     @property
@@ -366,3 +286,133 @@ class DynamicOperand:
     def wear_fraction(self) -> float:
         """Fraction of the operand tile's write endurance consumed so far."""
         return self.backend.wear_fraction(self._tile)
+
+
+def batched_gemv(
+    operands: Sequence[DynamicOperand],
+    input_codes: Sequence[np.ndarray],
+    input_bits: int = 8,
+    stats: GemvStats | None = None,
+    policy: KernelPolicy | None = None,
+) -> list[np.ndarray]:
+    """One crossbar read of many same-geometry dynamic operands.
+
+    ``input_codes[i]`` (signed ints, one row per input vector) streams over
+    ``operands[i]``'s valid region; returns ``[x_i @ W_i.T]``.  Operands
+    must share growth axis, width, cell, weight bits and crossbar geometry;
+    lengths and input row counts may differ.  Each operand's read is
+    charged to ``stats`` if given, else to its own sink, with exactly the
+    hardware counts a read of that operand alone reports.  ``policy``
+    (default: the first operand's, then the process-wide one) selects the
+    batched read, or the per-operand reference specification for
+    ``mode="reference"``.
+    """
+    if len(operands) == 0 or len(operands) != len(input_codes):
+        raise ValueError(
+            f"need one input block per operand, got {len(operands)} operands "
+            f"and {len(input_codes)} inputs"
+        )
+    first = operands[0]
+    geometry = (first.grow, first.width, first.cell, first.weight_bits, first.config)
+    inputs, shapes = [], []
+    for op, codes in zip(operands, input_codes):
+        if (op.grow, op.width, op.cell, op.weight_bits, op.config) != geometry:
+            raise ValueError("batched operands must share grow, width, cell, bits and config")
+        if op.length == 0:
+            raise ValueError("cannot GEMV an empty dynamic operand")
+        codes = np.atleast_2d(np.asarray(codes, dtype=np.int64))
+        in_features, out_features = op._read_shape()
+        if codes.shape[1] != in_features:
+            raise ValueError(
+                f"shape mismatch: inputs {codes.shape}, "
+                f"operand ({out_features}, {in_features})"
+            )
+        inputs.append(codes)
+        shapes.append((codes.shape[0], in_features, out_features))
+    flat = np.concatenate([codes.ravel() for codes in inputs])
+    half = 2 ** (input_bits - 1)
+    if flat.min() < -half or flat.max() >= half:
+        raise ValueError(f"input codes exceed the signed {input_bits}-bit range")
+    sinks = [stats if stats is not None else op.stats for op in operands]
+    policy = resolve_policy(policy if policy is not None else first.policy)
+    if policy.mode == "reference":
+        return [
+            run_gemv(_DynamicView(op), codes, input_bits, stats=sink, policy=policy)
+            for op, codes, sink in zip(operands, inputs, sinks)
+        ]
+
+    count = len(operands)
+    rows = first.config.rows
+    num_slices = first.num_slices
+    seq_max, in_max, out_max = (max(dim) for dim in zip(*shapes))
+    num_tiles = -(-in_max // rows)
+    tile_rows = rows if num_tiles > 1 else in_max
+
+    # Zero-padded input block and cell-plane block: padded input bits and
+    # padded cells add exactly 0 to every bitline sum, and the ADC maps 0 to
+    # code 0, so padding changes no code and no saturation count.
+    x = np.zeros((count, seq_max, num_tiles * tile_rows), dtype=np.int64)
+    cells = np.zeros((count, num_tiles * tile_rows, out_max, num_slices))
+    for i, (op, codes, (seq, in_features, out_features)) in enumerate(
+        zip(operands, inputs, shapes)
+    ):
+        x[i, :seq, :in_features] = codes
+        cells[i, :in_features, :out_features] = op._valid_region(
+            op.backend.planes(op._tile)
+        )
+
+    masked = x & (2**input_bits - 1)
+    used = np.bitwise_or.reduce(masked.reshape(count, -1), axis=1)
+    union = int(np.bitwise_or.reduce(used))
+    kept = np.array([k for k in range(input_bits) if (union >> k) & 1], dtype=np.int64)
+    if kept.size:
+        # (operand, tile, bit-plane x input row, tile row) @ (operand, tile, tile row, cells)
+        lhs = (masked[:, None] >> kept[None, :, None, None]) & 1
+        lhs = lhs.reshape(count, kept.size * seq_max, num_tiles, tile_rows)
+        lhs = lhs.transpose(0, 2, 1, 3).astype(np.float64)
+        sums = np.matmul(lhs, cells.reshape(count, num_tiles, tile_rows, -1))
+        first.adc.convert_(sums)  # fused round/clip over the whole block
+        saturated = np.count_nonzero(sums == first.adc.full_scale, axis=(1, 2, 3))
+        bit_w = input_bit_weights(input_bits).astype(np.float64)[kept]
+        adc_codes = sums.reshape(count, num_tiles, kept.size, seq_max, out_max, num_slices)
+        acc = np.einsum("ntkbos,k->nbos", adc_codes, bit_w)
+        slice_f = 2.0 ** (first.cell.bits * np.arange(num_slices))
+        result = np.rint(acc @ slice_f).astype(np.int64)
+    else:
+        saturated = np.zeros(count, dtype=np.int64)
+        result = np.zeros((count, seq_max, out_max), dtype=np.int64)
+    result -= first.offset * x.sum(axis=2, keepdims=True)
+
+    # Per-operand hardware counts, identical to a read of each alone.
+    seqs, ins, outs = np.array(shapes, dtype=np.int64).T
+    tiles = -(-ins // rows)
+    counters = {
+        "adc_conversions": tiles * seqs * input_bits * outs * num_slices,
+        "wordline_activations": _bit_counts(masked, input_bits).sum(axis=(1, 2)) * num_slices,
+        "input_cycles": tiles * input_bits,
+        "array_tiles": tiles * -(-outs * num_slices // first.config.cols),
+        "cells_programmed": ins * outs * num_slices,
+        "saturated_conversions": saturated,
+        "fused_rows": seqs,
+        "zero_planes_skipped": (input_bits - _bit_counts(used, input_bits)) * tiles,
+    }
+    table = np.stack(list(counters.values()))
+    groups: dict[int, tuple[GemvStats, list[int]]] = {}
+    for i, sink in enumerate(sinks):
+        groups.setdefault(id(sink), (sink, []))[1].append(i)
+    for sink, members in groups.values():
+        for name, value in zip(counters, table[:, members].sum(axis=1).tolist()):
+            setattr(sink, name, getattr(sink, name) + value)
+    sinks[0].planes_packed += input_bits  # the whole block is packed once
+    return [
+        result[i, :seq, :out_features]
+        for i, (seq, _, out_features) in enumerate(shapes)
+    ]
+
+
+def _bit_counts(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """Elementwise number of set bits among the low ``num_bits`` of ``values``."""
+    counts = np.zeros(values.shape, dtype=np.int64)
+    for shift in range(0, num_bits, 8):
+        counts += _POPCOUNT_TABLE[(values >> shift) & 0xFF]
+    return counts

@@ -240,7 +240,14 @@ class ApiServer:
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
             body = b""
-            length = int(headers.get("content-length", 0))
+            try:
+                length = int(headers.get("content-length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                writer.write(_json_response(400, {"error": "malformed Content-Length"}))
+                await writer.drain()
+                return
             if length:
                 body = await reader.readexactly(length)
             await self._route(method, path, body, writer)

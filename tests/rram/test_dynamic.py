@@ -5,9 +5,11 @@ GEMV is *exactly* the integer product of its appended codes on every
 kernel (reference / fast / fused gemm) and both growth axes, (b) every
 appended cell is accounted — initial programs vs re-programs in
 :class:`~repro.rram.crossbar.GemvStats`, pulses in the wear ledger's
-dynamic channel — and (c) partial-region writes invalidate *only* the
+dynamic channel — (c) partial-region writes invalidate *only* the
 operand's own tile: static matrices sharing the backend must keep their
-cached stacked planes (object identity, not just value equality).
+cached stacked planes (object identity, not just value equality), and
+(d) one batched read of many operands equals reading each operand alone
+through the reference kernel — outputs and every hardware counter.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.rram import (
+    SLC,
     CrossbarConfig,
     DynamicOperand,
     FaultModel,
@@ -26,6 +29,7 @@ from repro.rram import (
     ProgrammedMatrix,
     SimBackend,
 )
+from repro.rram.dynamic import batched_gemv
 
 WIDTH = 8
 CAPACITY = 20
@@ -224,3 +228,137 @@ class TestFaultyBackend:
         clean = _operand("wordlines")
         clean.append(codes)
         assert np.any(outs[0] != np.asarray(clean.gemv(x)))
+
+
+#: Small arrays, so ragged lengths span one to three row tiles.
+GRID_CONFIG = CrossbarConfig(rows=8, cols=16)
+GRID_WIDTH = 12  # > rows: bitline-grown reads span two row tiles too
+GRID_LENGTHS = (1, 5, 13, 20)
+GRID_SEQS = (1, 3, 2, 4)  # input rows per operand (prefill-shaped reads)
+
+
+def _grid_operands(grow, cell, noise_sigma, backend, codes_rng, saturate=False):
+    """Ragged same-geometry operands, one input block per operand."""
+    noise_rng = np.random.default_rng(21)
+    operands, inputs = [], []
+    for length, seq in zip(GRID_LENGTHS, GRID_SEQS):
+        op = DynamicOperand(
+            CAPACITY, GRID_WIDTH, cell=cell, grow=grow, noise_sigma=noise_sigma,
+            rng=noise_rng, config=GRID_CONFIG, backend=backend,
+        )
+        for chunk in np.array_split(np.arange(length), 2):
+            if chunk.size:
+                codes = codes_rng.integers(-128, 128, size=(chunk.size, GRID_WIDTH))
+                op.append(np.full_like(codes, 127) if saturate else codes)
+        in_features = length if grow == "wordlines" else GRID_WIDTH
+        x = codes_rng.integers(-128, 128, size=(seq, in_features))
+        inputs.append(np.full_like(x, -1) if saturate else x)
+        operands.append(op)
+    return operands, inputs
+
+
+def _reference_loop(operands, inputs):
+    """Each operand read alone through the reference kernel, own sinks."""
+    sinks = [GemvStats() for _ in operands]
+    outs = [
+        op.gemv(x, stats=sink, policy=KernelPolicy(mode="reference"))
+        for op, x, sink in zip(operands, inputs, sinks)
+    ]
+    return outs, sinks
+
+
+def _batched(operands, inputs, mode="fast"):
+    """One batched read, each operand charged to a fresh own sink."""
+    for op in operands:
+        op.stats = GemvStats()
+    outs = batched_gemv(operands, inputs, policy=KernelPolicy(mode=mode))
+    return outs, [op.stats for op in operands]
+
+
+class TestBatchedRead:
+    @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
+    @pytest.mark.parametrize("cell", [MLC2, SLC], ids=["mlc2", "slc"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("mode", ["fast", "gemm"])
+    def test_batched_equals_per_operand_reference(self, grow, cell, noise_sigma, mode):
+        """Ragged, tile-spanning, multi-row reads: bitwise outputs and counters."""
+        rng = np.random.default_rng(22)
+        operands, inputs = _grid_operands(grow, cell, noise_sigma, SimBackend(), rng)
+        ref_outs, ref_stats = _reference_loop(operands, inputs)
+        outs, stats = _batched(operands, inputs, mode)
+        for got, want, x, op in zip(outs, ref_outs, inputs, operands):
+            assert got.shape == (x.shape[0], op.length if grow == "bitlines" else GRID_WIDTH)
+            np.testing.assert_array_equal(got, want)
+        assert stats == ref_stats
+        assert [s.fused_rows for s in stats] == list(GRID_SEQS)
+
+    @pytest.mark.parametrize("grow", ["wordlines", "bitlines"])
+    @pytest.mark.parametrize("cell", [MLC2, SLC], ids=["mlc2", "slc"])
+    def test_saturating_operand_counts_match(self, grow, cell):
+        """Full-scale bitlines clip identically and count per operand."""
+        rng = np.random.default_rng(23)
+        operands, inputs = _grid_operands(
+            grow, cell, 0.0, SimBackend(), rng, saturate=True
+        )
+        ref_outs, ref_stats = _reference_loop(operands, inputs)
+        outs, stats = _batched(operands, inputs)
+        for got, want in zip(outs, ref_outs):
+            np.testing.assert_array_equal(got, want)
+        assert stats == ref_stats
+        assert stats[-1].saturated_conversions > 0  # a full 8-row tile of max cells
+
+    def test_all_zero_inputs_read_zero(self):
+        rng = np.random.default_rng(24)
+        operands, inputs = _grid_operands("wordlines", MLC2, 0.05, SimBackend(), rng)
+        zeros = [np.zeros_like(x) for x in inputs]
+        ref_outs, ref_stats = _reference_loop(operands, zeros)
+        outs, stats = _batched(operands, zeros)
+        for got, want in zip(outs, ref_outs):
+            np.testing.assert_array_equal(got, want)
+            assert not got.any()
+        assert stats == ref_stats
+        assert all(s.zero_planes_skipped > 0 for s in stats)
+
+    def test_drifted_faulty_backend_is_allclose(self):
+        """Drift rescales float32 cells in float64: allclose, like fused gemm."""
+        rng = np.random.default_rng(25)
+        backend = FaultySimBackend(fault=FaultModel(drift_nu=0.05), seed=3)
+        operands, inputs = _grid_operands("wordlines", MLC2, 0.05, backend, rng)
+        backend.advance(seconds=30 * 86_400.0)
+        ref_outs, ref_stats = _reference_loop(operands, inputs)
+        outs, stats = _batched(operands, inputs)
+        for got, want in zip(outs, ref_outs):
+            np.testing.assert_allclose(got, want, rtol=0.02, atol=64)
+        assert [s.adc_conversions for s in stats] == [s.adc_conversions for s in ref_stats]
+
+    def test_shared_sink_and_override_sink(self):
+        """A sink shared by all operands, or passed in, gets the summed counts."""
+        rng = np.random.default_rng(26)
+        operands, inputs = _grid_operands("bitlines", MLC2, 0.0, SimBackend(), rng)
+        _, ref_stats = _reference_loop(operands, inputs)
+        total = GemvStats()
+        for s in ref_stats:
+            total.merge(s)
+        shared = GemvStats()
+        for op in operands:
+            op.stats = shared
+        batched_gemv(operands, inputs)
+        assert shared == total
+        override = GemvStats()
+        batched_gemv(operands, inputs, stats=override)
+        assert override == total and shared == total
+        assert override.planes_packed == 8  # the whole block is packed once
+
+    def test_guards(self):
+        rng = np.random.default_rng(27)
+        operands, inputs = _grid_operands("wordlines", MLC2, 0.0, SimBackend(), rng)
+        with pytest.raises(ValueError, match="one input block per operand"):
+            batched_gemv(operands, inputs[:-1])
+        with pytest.raises(ValueError, match="one input block per operand"):
+            batched_gemv([], [])
+        other = DynamicOperand(CAPACITY, GRID_WIDTH, grow="bitlines", config=GRID_CONFIG)
+        other.append(rng.integers(-128, 128, size=(1, GRID_WIDTH)))
+        with pytest.raises(ValueError, match="share"):
+            batched_gemv([operands[0], other], [inputs[0], inputs[0]])
+        with pytest.raises(ValueError, match="signed"):
+            batched_gemv(operands[:1], [np.full_like(inputs[0], 128)])

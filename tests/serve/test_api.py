@@ -12,6 +12,9 @@ scheduler (a 0-deadline request comes back preempted).
 
 from __future__ import annotations
 
+import json
+import logging
+import socket
 import threading
 from types import SimpleNamespace
 
@@ -20,7 +23,7 @@ import pytest
 
 from repro.nn import DecoderLM, TransformerConfig
 from repro.serve import AdmissionPolicy, ApiServer, ReplicaPool, ServingEngine
-from repro.serve.api import api_request, stream_generate
+from repro.serve.api import _read_http_response, api_request, stream_generate
 
 VOCAB = 48
 
@@ -78,6 +81,24 @@ class TestRoutes:
             {"prompt": _prompt(rng), "max_new_tokens": 2, "deadline_s": "1s"},
         )
         assert status == 400 and "error" in body
+
+    @pytest.mark.parametrize("length", ["twelve", "-5", "3.5"])
+    def test_malformed_content_length_400(self, server, caplog, length):
+        """A bad Content-Length gets a 400 and a closed connection, not a drop."""
+        body = b'{"prompt": [1, 2]}'
+        head = (
+            f"POST /v1/generate HTTP/1.1\r\nHost: {server.host}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {length}\r\n"
+            f"Connection: close\r\n\r\n"
+        )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(head.encode() + body)
+                status, raw = _read_http_response(sock)
+        assert status == 400 and "Content-Length" in json.loads(raw)["error"]
+        assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
+        # The server keeps answering afterwards.
+        assert api_request(server.host, server.port, "/healthz")[0] == 200
 
     def test_unknown_priority_class_400(self, server, rng):
         status, body = api_request(
